@@ -23,22 +23,7 @@
 //
 // Acceptance gate (exit code): binary+batched saturation QPS >= 4x the
 // thread-per-connection baseline, with verdicts identical everywhere.
-//
-// With `--shards N` the bench instead measures the sharded verdict store
-// (docs/sharding.md). The resource sharding multiplies is aggregate cache
-// capacity: every shard runs the SAME per-daemon LRU budget, and the working
-// set (one bounded-counter property per module, 48 distinct request
-// fingerprints) exceeds one shard's budget but fits the cluster's. For S in
-// {1, N} the bench stands up S verdictd event loops joined on one
-// consistent-hash ring, partitions the properties by ring owner (what
-// `verdictc --shard-of` computes for the management plane), and drives each
-// shard with closed-loop clients cycling through its partition. A single
-// shard thrashes its LRU and re-verifies; the cluster serves warm hits.
-// Gate: aggregate warm-hit QPS at N shards >= 1.8x the 1-shard figure, and
-// verdicts through the router (which lands requests on arbitrary shards,
-// forcing PEER_GET fetches from ring owners) identical to direct submission.
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -47,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -59,10 +43,7 @@
 #include "obs/json.h"
 #include "svc/client.h"
 #include "svc/daemon.h"
-#include "svc/fingerprint.h"
-#include "svc/peer.h"
 #include "svc/protocol.h"
-#include "svc/ring.h"
 #include "svc/service.h"
 
 namespace {
@@ -264,9 +245,7 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-// `socket_paths` carries one entry per shard; client c is pinned to shard
-// c % S, so a single-socket sweep is just the S=1 case.
-LoadPoint run_point(const std::vector<std::string>& socket_paths, bool binary,
+LoadPoint run_point(const std::string& socket_path, bool binary,
                     const std::string& model, std::size_t clients,
                     double seconds,
                     const std::vector<core::Verdict>& expected) {
@@ -288,7 +267,7 @@ LoadPoint run_point(const std::vector<std::string>& socket_paths, bool binary,
         svc::ClientOptions options;
         options.binary = binary;
         options.connect_wait_seconds = 5.0;
-        svc::Client client(socket_paths[c % socket_paths.size()], options);
+        svc::Client client(socket_path, options);
         while (Clock::now() < stop_at) {
           const Clock::time_point t0 = Clock::now();
           const std::vector<svc::ClientVerdict> verdicts =
@@ -350,7 +329,7 @@ ServerResult sweep(const std::string& name, const std::string& socket_path,
   }
   for (const std::size_t clients : client_counts) {
     const LoadPoint point =
-        run_point({socket_path}, binary, model, clients, seconds, expected);
+        run_point(socket_path, binary, model, clients, seconds, expected);
     result.ok = result.ok && point.verdicts_ok;
     result.saturation_qps = std::max(result.saturation_qps, point.qps);
     result.points.push_back(point);
@@ -370,323 +349,9 @@ ServerResult sweep(const std::string& name, const std::string& socket_path,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded verdict store (`--shards N`): aggregate warm-hit QPS, S in {1, N}.
-// ---------------------------------------------------------------------------
-
-// The sharding workload: the same kModules bounded counters, but one LTL
-// property PER module — kModules distinct request fingerprints, which is the
-// working set the cluster's aggregate cache must hold.
-std::string shard_model() {
-  std::string vml;
-  for (int i = 0; i < kModules; ++i) {
-    const std::string m = "m" + std::to_string(i);
-    vml += "module " + m + " {\n";
-    vml += "  var c : 0..7;\n";
-    vml += "  init c = 0;\n";
-    vml += "  rule up when c < 7 { c' = c + 1; }\n";
-    vml += "  rule reset when c = 7 { c' = 0; }\n";
-    vml += "  stutter always;\n";
-    vml += "}\n\n";
-  }
-  vml += "system {\n";
-  vml += "  schedule interleaving;\n";
-  for (int i = 0; i < kModules; ++i)
-    vml += "  ltl m" + std::to_string(i) + "_bounded \"G (m" + std::to_string(i) +
-           ".c <= 7)\";\n";
-  vml += "}\n";
-  return vml;
-}
-
-// Per-daemon LRU budget for the sharding phases. The working set is kModules
-// entries: bigger than one shard's cache, comfortably inside N of them.
-constexpr std::size_t kShardCacheCapacity = 32;
-
-// One in-process shard cluster: S daemons joined on the same ring spec, each
-// with the SAME cache budget and batching OFF, so the only thing N shards
-// add over 1 is aggregate capacity (plus the peer tier).
-class ShardCluster {
- public:
-  ShardCluster(const std::string& dir, std::size_t shards) {
-    for (std::size_t s = 0; s < shards; ++s)
-      sockets_.push_back(dir + "/shard" + std::to_string(s) + ".sock");
-    std::string spec;
-    for (const std::string& path : sockets_)
-      spec += (spec.empty() ? "" : ",") + path;
-    for (const std::string& path : sockets_) {
-      svc::DaemonOptions options;
-      options.socket_path = path;
-      options.service.jobs = 0;
-      options.service.batch_window_seconds = 0.0;
-      options.service.cache.capacity = kShardCacheCapacity;
-      options.service.cluster = spec;
-      options.service.self_id = path;
-      daemons_.push_back(std::make_unique<svc::Daemon>(options));
-    }
-    for (auto& daemon : daemons_)
-      threads_.emplace_back([&daemon] { daemon->serve(); });
-  }
-
-  ~ShardCluster() {
-    for (auto& daemon : daemons_) daemon->request_stop();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  [[nodiscard]] const std::vector<std::string>& sockets() const { return sockets_; }
-
- private:
-  std::vector<std::string> sockets_;
-  std::vector<std::unique_ptr<svc::Daemon>> daemons_;
-  std::vector<std::thread> threads_;
-};
-
-// Split the property names by ring owner — the same routing decision
-// `verdictc --shard-of` prints for the management plane.
-std::vector<std::vector<std::string>> partition_by_ring(
-    const mdl::VmlModel& parsed, const std::vector<std::string>& sockets) {
-  const svc::Ring ring = svc::Ring::from_nodes(sockets);
-  std::vector<std::vector<std::string>> parts(sockets.size());
-  for (const auto& [name, property] : parsed.ltl_properties) {
-    const svc::Fingerprint fp = svc::fingerprint_request(
-        parsed.system, property, core::Engine::kKInduction, kDepth);
-    parts[ring.owner(fp)].push_back(name);
-  }
-  return parts;
-}
-
-// Push every shard's partition through it once, so each shard's LRU holds
-// exactly the entries it owns before measurement starts.
-bool warm_shards(const std::vector<std::string>& sockets, const std::string& model,
-                 const std::vector<std::vector<std::string>>& parts,
-                 const std::map<std::string, core::Verdict>& expected) {
-  for (std::size_t s = 0; s < sockets.size(); ++s) {
-    if (parts[s].empty()) continue;
-    svc::ClientOptions options;
-    options.binary = true;
-    options.connect_wait_seconds = 5.0;
-    svc::Client client(sockets[s], options);
-    const std::vector<svc::ClientVerdict> verdicts =
-        client.check(model, parts[s], core::Engine::kKInduction, kDepth, 0.0);
-    if (verdicts.size() != parts[s].size()) return false;
-    for (std::size_t i = 0; i < verdicts.size(); ++i)
-      if (verdicts[i].outcome.verdict != expected.at(parts[s][i])) return false;
-  }
-  return true;
-}
-
-// Closed-loop load where client c is pinned to shard c % S and cycles
-// through that shard's property partition, one property per request.
-LoadPoint run_cluster_point(const std::vector<std::string>& sockets,
-                            const std::string& model,
-                            const std::vector<std::vector<std::string>>& parts,
-                            std::size_t clients, double seconds,
-                            const std::map<std::string, core::Verdict>& expected) {
-  using Clock = std::chrono::steady_clock;
-  LoadPoint point;
-  point.clients = clients;
-  std::vector<std::vector<double>> latencies(clients);
-  std::atomic<bool> ok{true};
-  const Clock::time_point stop_at =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const Clock::time_point start = Clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      const std::vector<std::string>& mine = parts[c % sockets.size()];
-      if (mine.empty()) return;
-      try {
-        svc::ClientOptions options;
-        options.binary = true;
-        options.connect_wait_seconds = 5.0;
-        svc::Client client(sockets[c % sockets.size()], options);
-        std::size_t next = c / sockets.size();  // desync clients on one shard
-        while (Clock::now() < stop_at) {
-          const std::string& prop = mine[next++ % mine.size()];
-          const Clock::time_point t0 = Clock::now();
-          const std::vector<svc::ClientVerdict> verdicts =
-              client.check(model, {prop}, core::Engine::kKInduction, kDepth, 0.0);
-          const double ms =
-              std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-          latencies[c].push_back(ms);
-          if (verdicts.size() != 1 ||
-              verdicts[0].outcome.verdict != expected.at(prop))
-            ok.store(false);
-        }
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "client: %s\n", error.what());
-        ok.store(false);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-
-  std::vector<double> merged;
-  for (const std::vector<double>& per_client : latencies)
-    merged.insert(merged.end(), per_client.begin(), per_client.end());
-  std::sort(merged.begin(), merged.end());
-  point.requests = merged.size();
-  point.qps = elapsed > 0 ? static_cast<double>(merged.size()) / elapsed : 0.0;
-  point.p50_ms = percentile(merged, 0.50);
-  point.p99_ms = percentile(merged, 0.99);
-  point.verdicts_ok = ok.load();
-  return point;
-}
-
-int run_shard_mode(std::size_t shards) {
-  bench::header("Sharded verdict store — aggregate warm-hit QPS vs shard count");
-
-  const std::string model = shard_model();
-  const mdl::VmlModel parsed = mdl::parse_vml(model);
-  std::map<std::string, core::Verdict> expected;
-  for (const auto& [name, property] : parsed.ltl_properties)
-    expected[name] = core::check(parsed.system, property,
-                                 {.engine = core::Engine::kKInduction,
-                                  .max_depth = kDepth})
-                         .verdict;
-
-  // Fixed offered load: the client count does NOT grow with the shard count.
-  std::size_t clients = 8;
-  double seconds = 1.5;
-  if (bench::smoke()) {
-    clients = 4;
-    seconds = 0.5;
-  } else if (bench::full_sweep()) {
-    clients = 16;
-    seconds = 3.0;
-  }
-  std::printf("model: %d modules, %zu props (one per module), per-shard LRU "
-              "budget %zu entries;\n%zu clients total, %.1fs per point, "
-              "batching off\n",
-              kModules, expected.size(), kShardCacheCapacity, clients, seconds);
-  std::printf("\n%-8s | %11s | %12s | %11s | %11s | %s\n", "shards", "load",
-              "throughput", "p50", "p99", "volume");
-
-  char sock_dir[] = "/tmp/svc_shards.XXXXXX";
-  if (::mkdtemp(sock_dir) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
-  const std::string dir(sock_dir);
-  bench::JsonRows rows("svc_throughput_shards");
-
-  bool verdicts_ok = true;
-  bool router_ok = true;
-  double qps_by_count[2] = {0.0, 0.0};
-  const std::size_t counts[2] = {1, shards};
-  for (int phase = 0; phase < 2; ++phase) {
-    const std::size_t s = counts[phase];
-    const std::string phase_dir = dir + "/s" + std::to_string(s);
-    if (::mkdir(phase_dir.c_str(), 0700) != 0) {
-      std::fprintf(stderr, "mkdir %s failed\n", phase_dir.c_str());
-      return 1;
-    }
-    ShardCluster cluster(phase_dir, s);
-    const std::vector<std::vector<std::string>> parts =
-        partition_by_ring(parsed, cluster.sockets());
-    verdicts_ok = warm_shards(cluster.sockets(), model, parts, expected) && verdicts_ok;
-    const LoadPoint point =
-        run_cluster_point(cluster.sockets(), model, parts, clients, seconds, expected);
-    verdicts_ok = verdicts_ok && point.verdicts_ok;
-    qps_by_count[phase] = point.qps;
-    std::printf("%-8zu | %3zu clients | %8.0f QPS | p50 %7.3fms | p99 %7.3fms | %6zu reqs%s\n",
-                s, point.clients, point.qps, point.p50_ms, point.p99_ms,
-                point.requests, point.verdicts_ok ? "" : "  VERDICT MISMATCH");
-    rows.row([&](obs::JsonWriter& w) {
-      w.kv("shards", s);
-      w.kv("clients", point.clients);
-      w.kv("qps", point.qps);
-      w.kv("p50_ms", point.p50_ms);
-      w.kv("p99_ms", point.p99_ms);
-      w.kv("requests", point.requests);
-      w.kv("verdicts_ok", point.verdicts_ok);
-    });
-
-    // Router parity, on the still-warm N-shard cluster: the router lands
-    // connections on arbitrary shards, so most lookups cross the peer tier —
-    // the verdicts must still be identical to direct shard submission.
-    if (phase == 1) {
-      svc::RouterOptions router_options;
-      router_options.socket_path = phase_dir + "/router.sock";
-      router_options.backends = cluster.sockets();
-      svc::Router router(router_options);
-      std::thread router_thread([&router] { router.serve(); });
-      try {
-        svc::ClientOptions client_options;
-        client_options.binary = true;
-        client_options.connect_wait_seconds = 5.0;
-        // Fresh connection per round so round-robin dialing crosses every
-        // backend; every property through every backend once.
-        for (std::size_t round = 0; round < shards && router_ok; ++round) {
-          svc::Client client(router_options.socket_path, client_options);
-          for (const auto& [name, verdict] : expected) {
-            const std::vector<svc::ClientVerdict> routed =
-                client.check(model, {name}, core::Engine::kKInduction, kDepth, 0.0);
-            if (routed.size() != 1 || routed[0].outcome.verdict != verdict) {
-              router_ok = false;
-              break;
-            }
-          }
-        }
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "router client: %s\n", error.what());
-        router_ok = false;
-      }
-      router.request_stop();
-      router_thread.join();
-      std::printf("router parity: %s (%llu connection(s) routed across %zu shards)\n",
-                  router_ok ? "ok" : "MISMATCH",
-                  static_cast<unsigned long long>(router.connections_routed()),
-                  shards);
-      ::unlink(router_options.socket_path.c_str());
-    }
-  }
-
-  const double scaling =
-      qps_by_count[0] > 0 ? qps_by_count[1] / qps_by_count[0] : 0.0;
-  const bool fast_enough = scaling >= 1.8;
-  std::printf("\naggregate warm-hit: 1 shard %.0f QPS (LRU thrash, working set "
-              "%zu > budget %zu), %zu shards %.0f QPS (%.2fx, target >= 1.8x)\n",
-              qps_by_count[0], expected.size(), kShardCacheCapacity, shards,
-              qps_by_count[1], scaling);
-  rows.row([&](obs::JsonWriter& w) {
-    w.kv("summary", true);
-    w.kv("shards", shards);
-    w.kv("one_shard_qps", qps_by_count[0]);
-    w.kv("sharded_qps", qps_by_count[1]);
-    w.kv("scaling", scaling);
-    w.kv("verdicts_ok", verdicts_ok);
-    w.kv("router_ok", router_ok);
-  });
-  if (!verdicts_ok) std::printf("FAILED: verdict mismatch against in-process check\n");
-  if (!router_ok) std::printf("FAILED: routed verdicts differ from direct submission\n");
-  if (!fast_enough)
-    std::printf("FAILED: %zu-shard aggregate QPS below 1.8x the single-shard figure\n",
-                shards);
-  for (const std::string& sub : {std::string("/s1"), "/s" + std::to_string(shards)})
-    ::rmdir((dir + sub).c_str());
-  ::rmdir(sock_dir);
-  return verdicts_ok && router_ok && fast_enough ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::size_t shards = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--shards N]\n", argv[0]);
-      return 1;
-    }
-  }
-  if (shards > 1) return run_shard_mode(shards);
-
+int main() {
   bench::header("Service-plane throughput — closed-loop load, saturation QPS");
 
   const std::string model = bench_model();

@@ -1,6 +1,6 @@
 // ECMP path selection with destination hashing.
 //
-// Routers forward along shortest paths; when several next hops tie, the
+// Each router forwards along shortest paths; when several next hops tie, the
 // choice is made by a deterministic hash of the destination (and the router),
 // which is exactly the per-destination determinism that makes the paper's
 // load-balancer oscillation "hard to catch, as it depends on nondeterministic

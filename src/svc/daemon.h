@@ -27,8 +27,8 @@
 //
 // request_stop() makes serve() stop accepting and stop reading, finishes
 // every admitted request, flushes the response buffers, and drains the
-// Service — in-flight verdicts complete and the cache file is persisted
-// before serve() returns.
+// Service — in-flight verdicts complete and the segment (if any) is flushed
+// to disk before serve() returns.
 #pragma once
 
 #include <cstdint>

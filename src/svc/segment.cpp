@@ -202,6 +202,12 @@ bool SegmentStore::append(const Fingerprint& key, const CachedVerdict& value) {
   return true;
 }
 
+bool SegmentStore::flush() {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  const bool synced = ::msync(impl_->base, impl_->used, MS_SYNC) == 0;
+  return ::fsync(impl_->fd) == 0 && synced;
+}
+
 void SegmentStore::for_each(
     const std::function<void(const Fingerprint&, const CachedVerdict&)>& fn) {
   std::vector<std::pair<Fingerprint, std::size_t>> entries;

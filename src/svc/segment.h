@@ -1,12 +1,12 @@
-// Mmap'd persistent verdict segment: the crash-safe middle store tier.
+// Mmap'd persistent verdict segment: the daemon's only persistence path.
 //
-// The NDJSON cache file (VerdictCache::save_file) is a whole-cache snapshot
-// written at drain — a daemon killed between snapshots loses every verdict
-// computed since the last one. The segment closes that window on the hot
-// path: every fresh definitive verdict is appended to an mmap'd append-only
-// log *when it is computed*, so after a crash (SIGKILL, OOM) the next start
-// replays the log and the warm set survives. Lookup order per daemon is
-// LRU -> segment -> peer (docs/sharding.md).
+// Every fresh definitive verdict is appended to an mmap'd append-only log
+// *when it is computed*, so after a crash (SIGKILL, OOM) the next start
+// replays the log and the warm set survives; a graceful drain additionally
+// flush()es it to disk. The segment sits behind the in-memory LRU: the
+// VerdictCache consults the LRU, then the segment, and writes through to
+// both (svc/verdict_cache.h; format and rules in docs/service.md,
+// "Persistence").
 //
 // On-disk layout (native-endian; a segment is per-host state, not an
 // interchange format):
@@ -67,6 +67,11 @@ class SegmentStore {
   /// when the value was refused or the append failed (disk full); a failed
   /// append never corrupts earlier records.
   bool append(const Fingerprint& key, const CachedVerdict& value);
+
+  /// Forces every appended record to disk (msync(MS_SYNC) + fsync); appends
+  /// only schedule write-back. Called by Service::drain(). Returns false when
+  /// the kernel reports a write-back error.
+  bool flush();
 
   /// Calls `fn` for the latest record of every key (used to warm the LRU at
   /// daemon start). Not concurrent-append safe; call before serving.

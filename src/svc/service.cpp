@@ -73,9 +73,8 @@ std::uint64_t deadline_bucket(const util::Deadline& d) {
 class RecordingSessionCache final : public core::PropertyCacheHook {
  public:
   RecordingSessionCache(VerdictCache& cache, ReuseHook* reuse,
-                        SegmentStore* segment, PeerExchange* peers,
                         std::size_t num_properties)
-      : inner_(cache, reuse, segment, peers), hit_(num_properties, 0) {}
+      : inner_(cache, reuse), hit_(num_properties, 0) {}
 
   std::optional<core::CheckOutcome> lookup(const ts::TransitionSystem& system,
                                            const ltl::Formula& property,
@@ -188,33 +187,19 @@ struct Service::Batcher {
 
 Service::Service(const ServiceOptions& options)
     : options_(options),
-      cache_(std::make_unique<VerdictCache>(options.cache)),
+      segment_(options.segment_file.empty()
+                   ? nullptr
+                   : std::make_unique<SegmentStore>(options.segment_file)),
+      cache_(std::make_unique<VerdictCache>(options.cache, segment_.get())),
       pool_(std::make_unique<portfolio::ThreadPool>(options.jobs)),
       inflight_(std::make_unique<Inflight>()) {
-  if (!options_.cache_file.empty()) {
-    const std::size_t loaded = cache_->load_file(options_.cache_file);
-    if (obs::TraceSink* s = obs::sink())
-      s->event("svc.cache_loaded")
-          .attr("file", options_.cache_file)
-          .attr("entries", loaded)
-          .emit();
-  }
-  if (!options_.segment_file.empty()) {
-    segment_ = std::make_unique<SegmentStore>(options_.segment_file);
-    // Warm the LRU from the segment so segment entries behave exactly like
-    // snapshot-loaded ones (the ReuseEngine index rebuild sees them too).
-    segment_->for_each([this](const Fingerprint& key, const CachedVerdict& v) {
-      cache_->insert(key, v);
-    });
+  if (segment_ != nullptr) {
     if (obs::TraceSink* s = obs::sink())
       s->event("svc.segment_loaded")
           .attr("file", options_.segment_file)
           .attr("entries", segment_->size())
           .emit();
   }
-  if (!options_.cluster.empty())
-    peers_ = std::make_unique<PeerExchange>(Ring::from_spec(options_.cluster),
-                                            options_.self_id, options_.peer);
   if (options_.batch_window_seconds > 0 && options_.batch_max > 0) {
     batcher_ = std::make_unique<Batcher>();
     batcher_->thread = std::thread([this] { batcher_loop(); });
@@ -317,8 +302,6 @@ PendingCheck Service::submit(const CheckRequest& request) {
   std::shared_ptr<CheckResponse> slot = pending.slot_;
   Inflight* inflight = inflight_.get();
   VerdictCache* cache = cache_.get();
-  SegmentStore* segment = segment_.get();
-  PeerExchange* peers = peers_.get();
   ReuseHook* reuse = reuse_;
   util::Stopwatch queued;
 
@@ -339,28 +322,10 @@ PendingCheck Service::submit(const CheckRequest& request) {
         CachedVerdict cached;
         if (optimize && abstract) {
           cached = cache->get_or_compute(key, [&] {
-            // Exact LRU miss. Walk the remaining store tiers before paying
-            // for any engine work: the persistent segment, then — when this
-            // daemon runs as a cluster shard — the shard the ring assigns
-            // the fingerprint to. A tier hit leaves `computed` false (the
-            // client sees the warm hit it is) and get_or_compute re-inserts
-            // it into the LRU.
-            if (segment != nullptr) {
-              if (std::optional<CachedVerdict> held = segment->lookup(key))
-                return std::move(*held);
-            }
-            if (peers != nullptr) {
-              if (peers->owns(key)) {
-                obs::count("svc.ring.local");
-              } else {
-                obs::count("svc.ring.remote");
-                if (std::optional<CachedVerdict> held = peers->fetch(key))
-                  return std::move(*held);
-              }
-            }
-            // Before paying for a scratch run, let the incremental layer try
-            // to carry the verdict over from a previous model version
-            // (unchanged cone, or a revalidated proof artifact).
+            // Miss in every store tier. Before paying for a scratch run, let
+            // the incremental layer try to carry the verdict over from a
+            // previous model version (unchanged cone, or a revalidated proof
+            // artifact).
             CachedVerdict fresh;
             bool carried_over = false;
             if (reuse != nullptr) {
@@ -377,12 +342,6 @@ PendingCheck Service::submit(const CheckRequest& request) {
                           ? reuse->record(*system, property, engine, max_depth, out)
                           : cached_from_outcome(out);
             }
-            // Write-through: the segment makes the verdict crash-durable NOW
-            // (not at the next snapshot), and the ring owner gets a copy so
-            // every shard is one peer hop from it. Both drop non-definitive
-            // verdicts on their own.
-            if (segment != nullptr) segment->append(key, fresh);
-            if (peers != nullptr) peers->publish(key, fresh);
             return fresh;
           });
         } else {
@@ -397,8 +356,6 @@ PendingCheck Service::submit(const CheckRequest& request) {
                        ? reuse->record(*system, property, engine, max_depth, out)
                        : cached_from_outcome(out);
           cache->insert(key, cached);
-          if (segment != nullptr) segment->append(key, cached);
-          if (peers != nullptr) peers->publish(key, cached);
           obs::count("svc.cache_bypassed");
         }
         slot->cache_hit = !computed;
@@ -519,8 +476,6 @@ void Service::batcher_loop() {
 void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
   Inflight* inflight = inflight_.get();
   VerdictCache* cache = cache_.get();
-  SegmentStore* segment = segment_.get();
-  PeerExchange* peers = peers_.get();
   ReuseHook* reuse = reuse_;
 
   std::size_t members = 0;
@@ -539,7 +494,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
     s->event("svc.batch").attr("members", members).emit();
 
   portfolio::JobHandle handle = pool_->submit_cancellable(
-      [batch, inflight, cache, segment, peers, reuse](const util::CancelToken& token) {
+      [batch, inflight, cache, reuse](const util::CancelToken& token) {
         obs::count("svc.queue.dequeued", batch->entries.size());
         for (Batch::Entry& entry : batch->entries)
           entry.slot->queue_seconds = entry.queued.elapsed_seconds();
@@ -549,8 +504,7 @@ void Service::dispatch_batch(std::shared_ptr<Batch> batch) {
         // over) before any engine runs, and offers fresh outcomes back — the
         // same per-property semantics as the direct path, minus single-
         // flight (concurrent identical requests land in ONE batch anyway).
-        RecordingSessionCache hook(*cache, reuse, segment, peers,
-                                   batch->entries.size());
+        RecordingSessionCache hook(*cache, reuse, batch->entries.size());
         core::SessionResult result;
         std::string failure;
         try {
@@ -634,14 +588,8 @@ void Service::drain() {
     std::unique_lock<std::mutex> lock(inflight_->mu);
     inflight_->cv.wait(lock, [this] { return inflight_->active == 0; });
   }
-  if (!options_.cache_file.empty() && cache_) {
-    cache_->save_file(options_.cache_file);
-    if (obs::TraceSink* s = obs::sink())
-      s->event("svc.cache_saved")
-          .attr("file", options_.cache_file)
-          .attr("entries", cache_->size())
-          .emit();
-  }
+  // Appends only schedule write-back; a graceful stop makes them durable.
+  if (segment_ != nullptr && !segment_->flush()) obs::count("svc.segment.flush_failed");
 }
 
 std::size_t Service::queue_depth() const {
@@ -671,53 +619,12 @@ std::uint64_t Service::batched_requests() const {
   return batcher_->batched_requests;
 }
 
-std::optional<CachedVerdict> Service::store_lookup(const Fingerprint& key) {
-  if (std::optional<CachedVerdict> held = cache_->lookup(key)) return held;
-  if (segment_ != nullptr) {
-    if (std::optional<CachedVerdict> held = segment_->lookup(key)) {
-      cache_->insert(key, *held);
-      return held;
-    }
-  }
-  return std::nullopt;
-}
-
-void Service::store_insert(const Fingerprint& key, CachedVerdict value) {
-  if (segment_ != nullptr) segment_->append(key, value);
-  cache_->insert(key, std::move(value));
-}
-
 std::optional<core::CheckOutcome> SessionCache::lookup(
     const ts::TransitionSystem& system, const ltl::Formula& property,
     core::Engine engine, int max_depth) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
   if (std::optional<CachedVerdict> cached = cache_.lookup(key))
     return outcome_from_cached(*cached);  // rehydration failure -> miss
-  // Remaining store tiers, same order as the direct path: segment, then the
-  // ring owner. Tier hits are re-inserted into the LRU.
-  if (segment_ != nullptr) {
-    if (std::optional<CachedVerdict> held = segment_->lookup(key)) {
-      std::optional<core::CheckOutcome> outcome = outcome_from_cached(*held);
-      if (outcome) {
-        cache_.insert(key, std::move(*held));
-        return outcome;
-      }
-    }
-  }
-  if (peers_ != nullptr) {
-    if (peers_->owns(key)) {
-      obs::count("svc.ring.local");
-    } else {
-      obs::count("svc.ring.remote");
-      if (std::optional<CachedVerdict> held = peers_->fetch(key)) {
-        std::optional<core::CheckOutcome> outcome = outcome_from_cached(*held);
-        if (outcome) {
-          cache_.insert(key, std::move(*held));
-          return outcome;
-        }
-      }
-    }
-  }
   if (reuse_ != nullptr) {
     // Exact miss: a previous model version may still answer (svc/reuse.h).
     // Sessions are synchronous, so the revalidation runs on the caller's
@@ -737,13 +644,10 @@ void SessionCache::store(const ts::TransitionSystem& system,
                          const ltl::Formula& property, core::Engine engine,
                          int max_depth, const core::CheckOutcome& outcome) {
   const Fingerprint key = fingerprint_request(system, property, engine, max_depth);
-  // insert/append/publish all drop non-definitive verdicts on their own.
-  CachedVerdict v = reuse_ != nullptr
-                        ? reuse_->record(system, property, engine, max_depth, outcome)
-                        : cached_from_outcome(outcome);
-  if (segment_ != nullptr) segment_->append(key, v);
-  if (peers_ != nullptr) peers_->publish(key, v);
-  cache_.insert(key, std::move(v));
+  // insert() drops non-definitive verdicts on its own.
+  cache_.insert(key, reuse_ != nullptr
+                         ? reuse_->record(system, property, engine, max_depth, outcome)
+                         : cached_from_outcome(outcome));
 }
 
 }  // namespace verdict::svc

@@ -10,10 +10,9 @@
 //     each spawning private solvers threads,
 //   * a VerdictCache — requests are fingerprinted (svc/fingerprint.h) and
 //     served from cache when a definitive verdict is known; identical
-//     in-flight requests collapse to one solver run (single-flight). When
-//     configured as a cluster shard, the LRU is the first of three store
-//     tiers — LRU, mmap'd segment (svc/segment.h), ring-owner peer fetch
-//     (svc/peer.h) — consulted in that order on a miss (docs/sharding.md),
+//     in-flight requests collapse to one solver run (single-flight). With a
+//     segment file configured, the mmap'd segment (svc/segment.h) backs the
+//     LRU and is the service's only persistence path,
 //   * a bounded admission queue — at most `queue_limit` admitted-but-
 //     unfinished requests; beyond that submit() rejects immediately with a
 //     kUnknown outcome instead of letting latency grow without bound,
@@ -32,8 +31,8 @@
 //     reuse layer) before any engine runs and offers its fresh outcome back.
 //
 // drain() (also run by the destructor) stops admission, flushes any batch
-// still coalescing, waits for every in-flight request, and persists the
-// cache when a cache file is configured — the graceful-SIGTERM path of
+// still coalescing, waits for every in-flight request, and flushes the
+// segment to disk when one is configured — the graceful-SIGTERM path of
 // verdictd.
 #pragma once
 
@@ -44,7 +43,6 @@
 #include "core/checker.h"
 #include "core/session.h"
 #include "portfolio/pool.h"
-#include "svc/peer.h"
 #include "svc/reuse.h"
 #include "svc/segment.h"
 #include "svc/verdict_cache.h"
@@ -67,22 +65,10 @@ struct ServiceOptions {
   /// of waiting out the window.
   std::size_t batch_max = 16;
   CacheOptions cache;
-  /// When non-empty: the NDJSON snapshot file, loaded at construction and
-  /// saved (atomically, write-temp + rename) on drain().
-  std::string cache_file;
   /// When non-empty: the mmap'd persistent segment (svc/segment.h). Opened
-  /// at construction (its entries warm the LRU) and appended on every fresh
-  /// definitive verdict, so verdicts survive a crash between NDJSON
-  /// snapshots — the hot-path persistence tier.
+  /// at construction (its entries warm the LRU), appended on every fresh
+  /// definitive verdict so verdicts survive a crash, and flushed on drain().
   std::string segment_file;
-  /// Comma-separated cluster spec (every shard's socket path). When
-  /// non-empty, enables the peer tier: a local miss on a fingerprint the
-  /// ring assigns to another shard is fetched via PEER_GET before being
-  /// computed, and fresh verdicts are PEER_PUT to their ring owner.
-  /// `self_id` must then name this daemon's own entry in the spec.
-  std::string cluster;
-  std::string self_id;
-  PeerOptions peer;
 };
 
 /// One verification request: a property against a system. The system is
@@ -163,21 +149,11 @@ class Service {
   [[nodiscard]] CheckResponse check(const CheckRequest& request);
 
   /// Stops admitting, flushes coalescing batches, waits for every in-flight
-  /// request, persists the cache (ServiceOptions::cache_file). Idempotent.
+  /// request, flushes the segment (ServiceOptions::segment_file) to disk.
+  /// Idempotent.
   void drain();
 
   [[nodiscard]] VerdictCache& cache() { return *cache_; }
-  /// Persistent segment tier; null unless ServiceOptions::segment_file set.
-  [[nodiscard]] SegmentStore* segment() { return segment_.get(); }
-  /// Peer tier; null unless ServiceOptions::cluster set.
-  [[nodiscard]] PeerExchange* peers() { return peers_.get(); }
-
-  /// Local-tiers-only lookup (LRU, then segment — never the peer tier) and
-  /// insert (LRU + segment). This is what the daemon serves PEER_GET /
-  /// PEER_PUT from: peer questions are answered with what THIS shard holds,
-  /// one bounded hop, no recursion and no computation.
-  [[nodiscard]] std::optional<CachedVerdict> store_lookup(const Fingerprint& key);
-  void store_insert(const Fingerprint& key, CachedVerdict value);
 
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] std::uint64_t requests() const;
@@ -205,9 +181,8 @@ class Service {
   void dispatch_batch(std::shared_ptr<Batch> batch);
 
   ServiceOptions options_;
-  std::unique_ptr<VerdictCache> cache_;
-  std::unique_ptr<SegmentStore> segment_;   // null without segment_file
-  std::unique_ptr<PeerExchange> peers_;     // null without a cluster spec
+  std::unique_ptr<SegmentStore> segment_;  // null without segment_file
+  std::unique_ptr<VerdictCache> cache_;    // borrows segment_
   std::unique_ptr<portfolio::ThreadPool> pool_;
   std::unique_ptr<Inflight> inflight_;
   std::unique_ptr<Batcher> batcher_;  // null when batching is disabled
@@ -216,18 +191,15 @@ class Service {
 
 /// core::PropertyCacheHook adapter: lets a plain core::Session (verdictc in
 /// local mode, embedded users) share the daemon's memoization layer. Not
-/// single-flight — sessions are synchronous; it only consults/feeds the LRU.
+/// single-flight — sessions are synchronous; it only consults/feeds the
+/// VerdictCache (and through it the segment, when the cache has one).
 class SessionCache final : public core::PropertyCacheHook {
  public:
   /// `reuse` (optional, borrowed) adds cross-version reuse on exact-match
   /// misses: a verdict carried over from a previous model version is served
-  /// as a hit and re-inserted under the new request fingerprint. `segment`
-  /// and `peers` (optional, borrowed) extend misses through the daemon's
-  /// remaining store tiers in lookup order — segment, then ring owner — and
-  /// write fresh outcomes through to both.
-  explicit SessionCache(VerdictCache& cache, ReuseHook* reuse = nullptr,
-                        SegmentStore* segment = nullptr, PeerExchange* peers = nullptr)
-      : cache_(cache), reuse_(reuse), segment_(segment), peers_(peers) {}
+  /// as a hit and re-inserted under the new request fingerprint.
+  explicit SessionCache(VerdictCache& cache, ReuseHook* reuse = nullptr)
+      : cache_(cache), reuse_(reuse) {}
 
   std::optional<core::CheckOutcome> lookup(const ts::TransitionSystem& system,
                                            const ltl::Formula& property,
@@ -239,8 +211,6 @@ class SessionCache final : public core::PropertyCacheHook {
  private:
   VerdictCache& cache_;
   ReuseHook* reuse_ = nullptr;
-  SegmentStore* segment_ = nullptr;
-  PeerExchange* peers_ = nullptr;
 };
 
 }  // namespace verdict::svc

@@ -2,14 +2,13 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <list>
 #include <mutex>
 #include <unordered_map>
 
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "svc/segment.h"
 #include "svc/stored_trace.h"
 
 namespace verdict::svc {
@@ -17,9 +16,6 @@ namespace verdict::svc {
 namespace {
 
 const char* kSchema = "verdict-cache-v2";
-// v1 lines (pre-incremental) are still accepted on load: they simply carry
-// none of the inc enrichment fields, which all default to "absent".
-const char* kSchemaV1 = "verdict-cache-v1";
 
 std::optional<core::Verdict> verdict_from_name(const std::string& name) {
   for (const core::Verdict v :
@@ -86,7 +82,7 @@ std::optional<std::pair<Fingerprint, CachedVerdict>> cached_from_json(
     return std::nullopt;
   }
   if (!doc.is_object() || !doc["schema"].is_string() ||
-      (doc["schema"].string != kSchema && doc["schema"].string != kSchemaV1) ||
+      doc["schema"].string != kSchema ||
       !doc["key"].is_string() || !doc["verdict"].is_string()) {
     return std::nullopt;
   }
@@ -111,9 +107,8 @@ std::optional<std::pair<Fingerprint, CachedVerdict>> cached_from_json(
     if (const std::optional<Fingerprint> fp = Fingerprint::parse(doc["cone_fp"].string))
       v.cone_fp = *fp;
   if (doc.has("artifact")) v.artifact_json = obs::to_json(doc["artifact"]);
-  // The cacheability rule applies on every way IN — file load, segment scan,
-  // peer response: a tampered or stale source cannot plant an UNKNOWN (or a
-  // trace-less violation).
+  // The cacheability rule applies on the way IN: a tampered or stale segment
+  // cannot plant an UNKNOWN (or a trace-less violation).
   if (!cacheable(v)) return std::nullopt;
   return std::make_pair(*key, std::move(v));
 }
@@ -158,12 +153,18 @@ struct VerdictCache::SingleFlight {
   std::atomic<std::uint64_t> shared{0};
 };
 
-VerdictCache::VerdictCache(const CacheOptions& options)
-    : options_(options), flights_(std::make_unique<SingleFlight>()) {
+VerdictCache::VerdictCache(const CacheOptions& options, SegmentStore* segment)
+    : options_(options), segment_(segment), flights_(std::make_unique<SingleFlight>()) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.capacity == 0) options_.capacity = 1;
   for (std::size_t i = 0; i < options_.shards; ++i)
     shards_.push_back(std::make_unique<Shard>());
+  // Warm the LRU from the segment (not back into it): replayed entries then
+  // behave like fresh ones, and the ReuseEngine index rebuild sees them.
+  if (segment_ != nullptr)
+    segment_->for_each([this](const Fingerprint& key, const CachedVerdict& v) {
+      lru_insert(key, v);
+    });
 }
 
 VerdictCache::~VerdictCache() = default;
@@ -173,6 +174,20 @@ VerdictCache::Shard& VerdictCache::shard_for(const Fingerprint& key) const {
 }
 
 std::optional<CachedVerdict> VerdictCache::lookup(const Fingerprint& key) {
+  if (std::optional<CachedVerdict> held = lru_lookup(key)) return held;
+  if (segment_ == nullptr) return std::nullopt;
+  std::optional<CachedVerdict> held = segment_->lookup(key);
+  if (held) lru_insert(key, *held);
+  return held;
+}
+
+void VerdictCache::insert(const Fingerprint& key, CachedVerdict value) {
+  // Both tiers drop non-definitive verdicts on their own.
+  if (segment_ != nullptr) segment_->append(key, value);
+  lru_insert(key, std::move(value));
+}
+
+std::optional<CachedVerdict> VerdictCache::lru_lookup(const Fingerprint& key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
@@ -187,7 +202,7 @@ std::optional<CachedVerdict> VerdictCache::lookup(const Fingerprint& key) {
   return it->second->second;
 }
 
-void VerdictCache::insert(const Fingerprint& key, CachedVerdict value) {
+void VerdictCache::lru_insert(const Fingerprint& key, CachedVerdict value) {
   if (!cacheable(value)) {
     obs::count("svc.cache.reject");
     return;
@@ -300,58 +315,6 @@ void VerdictCache::for_each(
     }
     for (const auto& [key, v] : snapshot) fn(key, v);
   }
-}
-
-// --- persistence -------------------------------------------------------------
-
-void VerdictCache::save(std::ostream& out) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, v] : shard->lru) out << cached_to_json(key, v) << '\n';
-  }
-}
-
-void VerdictCache::save_file(const std::string& path) const {
-  // Write-temp + rename: rename(2) is atomic within a filesystem, so readers
-  // (another shard loading the file, a restarted daemon) see either the
-  // previous complete snapshot or the new one — never a torn file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("VerdictCache: cannot write " + tmp);
-    save(out);
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("VerdictCache: short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("VerdictCache: cannot rename " + tmp + " -> " + path);
-  }
-}
-
-std::size_t VerdictCache::load(std::istream& in) {
-  std::size_t loaded = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::optional<std::pair<Fingerprint, CachedVerdict>> entry = cached_from_json(line);
-    if (!entry) {
-      obs::count("svc.cache.load_skipped");
-      continue;
-    }
-    insert(entry->first, std::move(entry->second));
-    ++loaded;
-  }
-  return loaded;
-}
-
-std::size_t VerdictCache::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  return load(in);
 }
 
 }  // namespace verdict::svc

@@ -1,5 +1,5 @@
-// Content-addressed verdict cache: sharded in-memory LRU + single-flight
-// deduplication + optional NDJSON persistence.
+// Content-addressed verdict store: sharded in-memory LRU + single-flight
+// deduplication, optionally backed by the persistent segment tier.
 //
 // The paper's deployment model (§4.3) re-verifies near-identical models on
 // every config push, so the same (system, property, engine options) request
@@ -11,23 +11,23 @@
 //   * single-flight — when N identical requests are in flight, one caller
 //     computes and the other N-1 block on the result instead of burning N
 //     solver runs (get_or_compute).
-//   * persistence — save()/load() stream entries as NDJSON (one JSON object
-//     per line, "verdict-cache-v1") so verdicts survive a daemon restart.
-//     Counterexample traces are stored name-keyed (svc/stored_trace.h) and
-//     rehydrated lazily at lookup-conversion time, so a cache file loads
+//   * persistence — an optional mmap'd SegmentStore (svc/segment.h) sits
+//     behind the LRU. lookup() consults the LRU, then the segment
+//     (re-inserting segment hits into the LRU); insert() writes through to
+//     both. Counterexample traces are stored name-keyed (svc/stored_trace.h)
+//     and rehydrated lazily at lookup-conversion time, so a segment replays
 //     before any model has been parsed.
 //
 // Cacheability rule (the safety property of the whole subsystem): only
 // *definitive* verdicts are stored — kHolds, and kViolated with its trace.
 // kBoundReached / kTimeout / kUnknown depend on the budget a particular run
 // happened to have and MUST be recomputed; insert() silently drops them, and
-// load() refuses lines carrying them no matter who wrote the file.
+// cached_from_json() refuses them no matter who wrote the bytes.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,7 +60,7 @@ struct CachedVerdict {
   std::string counterexample_json;
 
   // Incremental re-verification enrichment (inc::ReuseEngine; all optional —
-  // zero/empty means "plain entry", exactly what v1 cache files carry).
+  // zero/empty means "plain entry").
   /// Fingerprint of (property, engine, max_depth) alone — the part of the
   /// request key that survives a model edit. Links entries for the same
   /// property across model versions.
@@ -84,37 +84,41 @@ struct CachedVerdict {
 [[nodiscard]] std::optional<core::CheckOutcome> outcome_from_cached(
     const CachedVerdict& v);
 
-/// One "verdict-cache-v2" JSON object (no trailing newline). This line format
-/// is the single interchange encoding for every store tier: the NDJSON cache
-/// file, the mmap'd segment payloads (svc/segment.h), and the PEER_GET /
-/// PEER_PUT entry bodies (svc/peer.h) all carry exactly this object.
+/// One "verdict-cache-v2" JSON object (no trailing newline): the payload of
+/// every record in the mmap'd segment (svc/segment.h).
 [[nodiscard]] std::string cached_to_json(const Fingerprint& key,
                                          const CachedVerdict& v);
 
-/// Parses one v2 (or legacy v1) line back into (key, verdict). Returns
-/// nullopt for malformed lines AND for non-cacheable verdicts — the
-/// cacheability rule is enforced here so no deserialization path (file load,
-/// segment scan, peer response) can plant an indefinite verdict.
+/// Parses one v2 line back into (key, verdict). Returns nullopt for malformed
+/// lines, any other schema, AND non-cacheable verdicts — the cacheability
+/// rule is enforced here so a segment read can never plant an indefinite
+/// verdict.
 [[nodiscard]] std::optional<std::pair<Fingerprint, CachedVerdict>>
 cached_from_json(const std::string& line);
 
+class SegmentStore;
+
 class VerdictCache {
  public:
-  explicit VerdictCache(const CacheOptions& options = {});
+  /// `segment` (optional, borrowed, must outlive the cache) is the persistent
+  /// tier behind the LRU. Its entries warm the LRU here.
+  explicit VerdictCache(const CacheOptions& options = {}, SegmentStore* segment = nullptr);
   ~VerdictCache();
 
   VerdictCache(const VerdictCache&) = delete;
   VerdictCache& operator=(const VerdictCache&) = delete;
 
-  /// Returns the entry and refreshes its LRU position.
+  /// The store's tier order: the LRU (refreshing the entry's position), then
+  /// the segment, whose hits are re-inserted into the LRU.
   [[nodiscard]] std::optional<CachedVerdict> lookup(const Fingerprint& key);
 
-  /// Stores a definitive verdict; silently drops non-cacheable ones.
+  /// Stores a definitive verdict in the LRU and appends it to the segment;
+  /// silently drops non-cacheable ones.
   void insert(const Fingerprint& key, CachedVerdict value);
 
-  /// Single-flight memoized compute: a hit returns immediately; otherwise
-  /// exactly one caller per key runs `compute` while concurrent callers of
-  /// the same key block and share its result. A non-cacheable result is
+  /// Single-flight memoized compute: a lookup() hit (either tier) returns
+  /// immediately; otherwise exactly one caller per key runs `compute` while
+  /// concurrent callers of the same key block and share its result. A non-cacheable result is
   /// still handed to the waiting callers (they asked the identical
   /// question), just never stored. If the leader's compute throws, waiters
   /// fall back to computing individually.
@@ -127,32 +131,21 @@ class VerdictCache {
   [[nodiscard]] std::uint64_t evictions() const;
   [[nodiscard]] std::uint64_t single_flight_shared() const;
 
-  /// Calls `fn` for a snapshot of every entry (copied out shard by shard, so
-  /// `fn` may call back into the cache). Used by inc::ReuseEngine to rebuild
-  /// its cross-version index after a cache file load.
+  /// Calls `fn` for a snapshot of every LRU entry (copied out shard by shard,
+  /// so `fn` may call back into the cache). Used by inc::ReuseEngine to
+  /// rebuild its cross-version index after the segment warmed the LRU.
   void for_each(const std::function<void(const Fingerprint&, const CachedVerdict&)>& fn) const;
-
-  /// Writes every entry as one "verdict-cache-v2" NDJSON line.
-  void save(std::ostream& out) const;
-  /// Atomic on-disk snapshot: writes `path + ".tmp"` then rename()s it over
-  /// `path`, so a daemon killed mid-save leaves either the old file or the
-  /// new one — never a truncated half-file another shard then loads.
-  void save_file(const std::string& path) const;  // throws on open failure
-
-  /// Loads entries from an NDJSON stream produced by save() (or anything
-  /// schema-conformant; "verdict-cache-v1" lines still load, minus the
-  /// incremental enrichment fields v1 lacked). Malformed and non-cacheable
-  /// lines are skipped, not fatal. Returns the number of entries inserted.
-  std::size_t load(std::istream& in);
-  std::size_t load_file(const std::string& path);  // missing file = 0 loaded
 
  private:
   struct Shard;
   struct Flight;
 
   Shard& shard_for(const Fingerprint& key) const;
+  [[nodiscard]] std::optional<CachedVerdict> lru_lookup(const Fingerprint& key);
+  void lru_insert(const Fingerprint& key, CachedVerdict value);
 
   CacheOptions options_;
+  SegmentStore* segment_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   struct SingleFlight;
   std::unique_ptr<SingleFlight> flights_;

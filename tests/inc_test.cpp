@@ -9,7 +9,9 @@
 // to run on.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
+
+#include <cstdlib>
 
 #include "core/checker.h"
 #include "core/session.h"
@@ -20,6 +22,7 @@
 #include "obs/trace.h"
 #include "scenarios/rollout_partition.h"
 #include "svc/fingerprint.h"
+#include "svc/segment.h"
 #include "svc/service.h"
 #include "svc/verdict_cache.h"
 
@@ -351,25 +354,28 @@ TEST(ReuseEngine, ReplaysCounterexamplesOnTheNewFullSystem) {
 }
 
 TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
-  std::stringstream file;
+  char dir[] = "/tmp/inc_test.XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string path = std::string(dir) + "/verdicts.seg";
   const TwoCounters tc = make_two_counters("re_e", 5, 0);
   const ltl::Formula p = holds_property(tc, 5);
   {
-    svc::VerdictCache cache;
+    svc::SegmentStore segment(path);
+    svc::VerdictCache cache({}, &segment);
     inc::ReuseEngine engine(cache);
     svc::SessionCache hook(cache, &engine);
     const core::CheckOutcome cold = run(tc, p, core::Engine::kPdr);
     ASSERT_EQ(cold.verdict, core::Verdict::kHolds);
     hook.store(tc.sys, p, core::Engine::kPdr, 30, cold);
-    cache.save(file);
   }
 
-  // "Restarted daemon": fresh cache + engine over the persisted file. The
+  // "Restarted daemon": fresh cache + engine over the reopened segment. The
   // cache entry for the IDENTICAL system is an exact hit (no revalidation
   // involved); for an edited system — even one whose cone is unchanged —
   // the artifact came from disk and must be re-proved before it is carried.
-  svc::VerdictCache cache;
-  ASSERT_GT(cache.load(file), 0u);
+  svc::SegmentStore segment(path);
+  ASSERT_GT(segment.size(), 0u);
+  svc::VerdictCache cache({}, &segment);
   inc::ReuseEngine engine(cache);
   ASSERT_GT(engine.rebuild_from_cache(), 0u);
   svc::SessionCache hook(cache, &engine);
@@ -381,6 +387,8 @@ TEST(ReuseEngine, RestartRevalidatesInsteadOfTrustingDisk) {
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(warm->verdict, core::Verdict::kHolds);
   EXPECT_EQ(counter("inc.invariants_revalidated"), revalidated_before + 1);
+  ::unlink(path.c_str());
+  ::rmdir(dir);
 }
 
 // --- Crosscheck: artifacts against the original pre-optimization system ------

@@ -60,12 +60,18 @@ TEST_P(FatTreeCountTest, MatchesPaperTopologySizes) {
   EXPECT_EQ(ft.edge.size() - 1, expected.service_nodes);  // one leaf = front-end
 }
 
+// gtest names each case after the raw bytes of its parameter, padding after
+// `k` included. A table in static storage has that padding zeroed; stack
+// temporaries would leave residue in it that shifts with the test binary's
+// path, so the case names would differ from one build directory to another.
+const FatTreeCounts kPaperSizes[] = {{4, 20, 32, 7},
+                                     {6, 45, 108, 17},
+                                     {8, 80, 256, 31},
+                                     {10, 125, 500, 49},
+                                     {12, 180, 864, 71}};
+
 INSTANTIATE_TEST_SUITE_P(PaperSizes, FatTreeCountTest,
-                         ::testing::Values(FatTreeCounts{4, 20, 32, 7},
-                                           FatTreeCounts{6, 45, 108, 17},
-                                           FatTreeCounts{8, 80, 256, 31},
-                                           FatTreeCounts{10, 125, 500, 49},
-                                           FatTreeCounts{12, 180, 864, 71}));
+                         ::testing::ValuesIn(kPaperSizes));
 
 TEST(FatTree, StructuralInvariants) {
   for (const int k : {4, 6, 8}) {

@@ -2,7 +2,7 @@
 # Drives the verdictd daemon end-to-end through the real binaries: cold
 # verification over the Unix socket, warm (cached) re-verification with the
 # client-visible cache marker, graceful SIGTERM drain, and the persistent
-# cache file carrying proved verdicts across a daemon restart.
+# segment carrying proved verdicts across a restart and across a SIGKILL.
 #
 # Usage: verdictd_cli_test.sh <path-to-verdictd> <path-to-verdictc> \
 #                             <examples/models dir>
@@ -13,18 +13,13 @@ VERDICTC="$2"
 MODELS="$3"
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/verdictd_cli.XXXXXX")"
 SOCK="$TMP/verdictd.sock"
-CACHE="$TMP/cache.ndjson"
+SEGMENT="$TMP/verdicts.seg"
 DAEMON_PID=""
-SHARD1_PID=""
-SHARD2_PID=""
-ROUTER_PID=""
 
 cleanup() {
-  for pid in "$DAEMON_PID" "$SHARD1_PID" "$SHARD2_PID" "$ROUTER_PID"; do
-    if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
-      kill -KILL "$pid" 2>/dev/null || true
-    fi
-  done
+  if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
+    kill -KILL "$DAEMON_PID" 2>/dev/null || true
+  fi
   rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -48,23 +43,48 @@ expect_exit() {
 # --connect-timeout, which retries with backoff while the daemon binds —
 # that's the supported replacement for sleep-and-hope startup loops.
 start_daemon() {
-  "$VERDICTD" --socket "$SOCK" --cache-file "$CACHE" --jobs 2 \
+  "$VERDICTD" --socket "$SOCK" --segment-file "$SEGMENT" --jobs 2 \
     > "$TMP/daemon.txt" 2>&1 &
   DAEMON_PID=$!
 }
 
-stop_pid() {
-  kill -TERM "$1"
+stop_daemon() {
+  kill -TERM "$DAEMON_PID"
   for _ in $(seq 1 200); do
-    kill -0 "$1" 2>/dev/null || return 0
+    kill -0 "$DAEMON_PID" 2>/dev/null || { DAEMON_PID=""; return 0; }
     sleep 0.05
   done
-  fail "process $1 did not exit after SIGTERM"
+  fail "daemon $DAEMON_PID did not exit after SIGTERM"
 }
 
-stop_daemon() {
-  stop_pid "$DAEMON_PID"
-  DAEMON_PID=""
+# Asserts the restarted daemon's reuse banner: the segment replay warmed the
+# cache and the incremental layer indexed the replayed artifacts. The socket
+# binds before the banner is flushed — poll briefly.
+expect_banner() {
+  for _ in $(seq 1 40); do
+    grep -q "prior verdict(s) for incremental reuse" "$TMP/daemon.txt" && return 0
+    sleep 0.05
+  done
+  fail "$1"
+}
+
+# Runs verdictc against the daemon: served_run NAME WANT_EXIT ARGS...
+served_run() {
+  local name="$1" want="$2"
+  shift 2
+  local rc=0
+  "$VERDICTC" "$@" --connect "$SOCK" --connect-timeout 10 \
+    > "$TMP/$name.txt" 2>&1 || rc=$?
+  expect_exit "$want" "$rc" "$name run"
+}
+
+expect_warm() {
+  grep -q "served from verdictd cache" "$TMP/$1.txt" || fail "$1: $2"
+}
+
+expect_cold() {
+  grep -q "served from verdictd cache" "$TMP/$1.txt" && fail "$1: $2"
+  return 0
 }
 
 # --version prints build identity and exits 0.
@@ -87,207 +107,84 @@ start_daemon
 
 # Cold run through the daemon: verdicts and exit code match the local run.
 # --connect-timeout covers the daemon still starting up (no sleep above).
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --connect-timeout 10 \
-  --engine pdr > "$TMP/cold.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "cold served run"
+served_run cold 0 "$MODELS/autoscaler.vml" --engine pdr
 grep -q "holds" "$TMP/cold.txt" || fail "cold run must print holds verdicts"
-grep -q "served from verdictd cache" "$TMP/cold.txt" && \
-  fail "cold run must not claim cache hits"
+expect_cold cold "a cold run must not claim cache hits"
 
 # Warm run: same request is served from the daemon's verdict cache. Default
 # wire is the binary framing.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --engine pdr \
-  > "$TMP/warm.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm served run"
-grep -q "served from verdictd cache" "$TMP/warm.txt" || \
-  fail "warm run must be served from the verdict cache"
+served_run warm 0 "$MODELS/autoscaler.vml" --engine pdr
+expect_warm warm "a warm run must be served from the verdict cache"
 
 # The same exchange over the NDJSON debug wire: auto-detected by the daemon
 # on the same socket, same verdicts, same cache hits.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --wire ndjson \
-  --engine pdr > "$TMP/warm_ndjson.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm NDJSON-wire run"
-grep -q "served from verdictd cache" "$TMP/warm_ndjson.txt" || \
-  fail "NDJSON-wire run must be served from the verdict cache"
+served_run warm_ndjson 0 "$MODELS/autoscaler.vml" --wire ndjson --engine pdr
+expect_warm warm_ndjson "an NDJSON-wire run must be served from the verdict cache"
 
 # A violated property round-trips its counterexample over the socket and is
 # re-confirmed client-side; aggregate exit code stays 1.
-rc=0
-"$VERDICTC" "$MODELS/rollout.vml" --connect "$SOCK" --prop quorum_kept --trace \
-  > "$TMP/viol.txt" 2>&1 || rc=$?
-expect_exit 1 "$rc" "served violation run"
+served_run viol 1 "$MODELS/rollout.vml" --prop quorum_kept --trace
 grep -q "violated" "$TMP/viol.txt" || fail "served run must print the violation"
 grep -q "counterexample confirmed" "$TMP/viol.txt" || \
   fail "served counterexample must be confirmed client-side"
 
-# Graceful SIGTERM drain persists the cache file.
+# Graceful SIGTERM drain; the segment holds the v2 payloads, proof artifacts
+# included.
 stop_daemon
 grep -q "drained" "$TMP/daemon.txt" || fail "daemon must log its graceful drain"
-[ -s "$CACHE" ] || fail "daemon must persist the cache file on SIGTERM"
-grep -q '"schema":"verdict-cache-v2"' "$CACHE" || \
-  fail "cache file must carry the verdict-cache-v2 schema"
-grep -q '"artifact"' "$CACHE" || \
-  fail "cache file must persist proof artifacts alongside proved verdicts"
+grep -aq '"schema":"verdict-cache-v2"' "$SEGMENT" || \
+  fail "segment must carry verdict-cache-v2 payloads"
+grep -aq '"artifact"' "$SEGMENT" || \
+  fail "segment must persist proof artifacts alongside proved verdicts"
 
-# Restarted daemon serves the proved verdicts from the persisted cache: the
-# FIRST request after restart is already warm, and the incremental layer
-# re-indexes the persisted artifacts (the startup banner proves they made the
-# round trip through the cache file).
+# Restarted daemon serves the proved verdicts from the segment: the FIRST
+# request after restart is already warm, and the incremental layer re-indexes
+# the replayed artifacts.
 start_daemon
-# The socket binds before the banner is flushed — poll briefly.
-banner_seen=""
-for _ in $(seq 1 40); do
-  if grep -q "prior verdict(s) for incremental reuse" "$TMP/daemon.txt"; then
-    banner_seen=1
-    break
-  fi
-  sleep 0.05
-done
-[ -n "$banner_seen" ] || \
-  fail "restarted daemon must index persisted artifacts for incremental reuse"
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --connect-timeout 10 \
-  --engine pdr > "$TMP/restart.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "post-restart served run"
-grep -q "served from verdictd cache" "$TMP/restart.txt" || \
-  fail "restarted daemon must serve proved verdicts from the cache file"
+expect_banner "restarted daemon must index replayed artifacts for incremental reuse"
+served_run restart 0 "$MODELS/autoscaler.vml" --engine pdr
+expect_warm restart "restarted daemon must serve proved verdicts from the segment"
 
 # An EDITED model after the restart: the request fingerprint no longer
 # matches any cached entry, so a warm answer can only come from the
-# incremental layer revalidating the persisted proof artifact against the
+# incremental layer revalidating the replayed proof artifact against the
 # changed model (restart dropped all in-memory trust; see docs/incremental.md).
 sed 's/^system {/module probe {\n  var tick : 0..3;\n  rule t when tick < 3 { tick'"'"' = tick + 1; }\n  stutter always;\n}\n\nsystem {/' \
   "$MODELS/autoscaler.vml" > "$TMP/autoscaler_edit.vml"
 grep -q "module probe" "$TMP/autoscaler_edit.vml" || \
   fail "test bug: model edit did not apply"
-rc=0
-"$VERDICTC" "$TMP/autoscaler_edit.vml" --connect "$SOCK" --engine pdr \
-  > "$TMP/edited.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "edited-model served run"
-grep -q "served from verdictd cache" "$TMP/edited.txt" || \
-  fail "edited model must be answered by revalidating the persisted artifact"
+served_run edited 0 "$TMP/autoscaler_edit.vml" --engine pdr
+expect_warm edited "edited model must be answered by revalidating the replayed artifact"
+
+# A verdict first computed by THIS daemon instance, then SIGKILL: no drain,
+# no flush. The restarted daemon must still serve it warm — the append made
+# it durable when it was computed.
+served_run fresh 1 "$MODELS/rollout.vml" --prop quorum_kept --engine bmc --trace
+expect_cold fresh "a never-seen request must be computed"
+{ kill -KILL "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true
+DAEMON_PID=""
+start_daemon
+served_run recovered 1 "$MODELS/rollout.vml" --prop quorum_kept --engine bmc --trace
+expect_warm recovered "restarted daemon must replay its segment after SIGKILL"
+grep -q "counterexample confirmed" "$TMP/recovered.txt" || \
+  fail "a replayed counterexample must be confirmed client-side"
+served_run recovered_holds 0 "$MODELS/autoscaler.vml" --engine pdr
+expect_warm recovered_holds "replayed proofs must be served warm after SIGKILL"
 stop_daemon
 
-# A version-skewed cache file is rejected wholesale, never blindly trusted:
-# the daemon starts empty (no reuse banner) and the first request recomputes.
-sed 's/verdict-cache-v2/verdict-cache-v9/g' "$CACHE" > "$TMP/skewed.ndjson"
-CACHE="$TMP/skewed.ndjson"
+# A version-skewed segment is never blindly trusted: with every payload's
+# schema rewritten the record checksums fail, the replay stops at the first
+# record, the daemon starts empty (no reuse banner) and recomputes.
+LC_ALL=C sed 's/verdict-cache-v2/verdict-cache-v9/g' "$SEGMENT" > "$TMP/skewed.seg"
+SEGMENT="$TMP/skewed.seg"
 start_daemon
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$SOCK" --connect-timeout 10 \
-  --engine pdr > "$TMP/skewed.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "skewed-cache served run"
-grep -q "served from verdictd cache" "$TMP/skewed.txt" && \
-  fail "verdicts from a version-skewed cache file must not be served warm"
+served_run skewed 0 "$MODELS/autoscaler.vml" --engine pdr
+expect_cold skewed "verdicts from a version-skewed segment must not be served warm"
 # Checked after the request: by now the daemon is fully up, so the banner
 # would have been flushed if the skewed entries had been indexed.
 grep -q "prior verdict(s) for incremental reuse" "$TMP/daemon.txt" && \
-  fail "daemon must not index entries from a version-skewed cache file"
+  fail "daemon must not index entries from a version-skewed segment"
 stop_daemon
-
-# ---------------------------------------------------------------------------
-# Sharded cluster: peer fetch, crash degradation, segment recovery, router.
-# (docs/sharding.md end to end through the real binaries.)
-# ---------------------------------------------------------------------------
-S1="$TMP/shard1.sock"
-S2="$TMP/shard2.sock"
-CLUSTER="$S1,$S2"
-
-start_shard() { # socket segment-file log-name; prints the pid
-  "$VERDICTD" --socket "$1" --segment-file "$2" --cluster "$CLUSTER" --jobs 2 \
-    > "$TMP/$3.txt" 2>&1 &
-  echo $!
-}
-
-# --shard-of answers the routing question offline — no daemon involved.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --shard-of "$CLUSTER" --engine pdr \
-  > "$TMP/shardof.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "verdictc --shard-of"
-grep -q -- "-> shard" "$TMP/shardof.txt" || \
-  fail "--shard-of must print a ring assignment per property"
-
-# --route without --cluster is a usage error.
-rc=0
-"$VERDICTD" --route --socket "$TMP/r.sock" > /dev/null 2>&1 || rc=$?
-expect_exit 2 "$rc" "verdictd --route without --cluster"
-
-SHARD1_PID="$(start_shard "$S1" "$TMP/shard1.seg" shard1)"
-SHARD2_PID="$(start_shard "$S2" "$TMP/shard2.seg" shard2)"
-
-# Cold verification through shard 1 computes (and appends to its segment).
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S1" --connect-timeout 10 \
-  --engine pdr > "$TMP/shard_cold.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "cold run via shard 1"
-grep -q "served from verdictd cache" "$TMP/shard_cold.txt" && \
-  fail "cold run via shard 1 must not claim cache hits"
-grep -q "of 2 on the cluster ring" "$TMP/shard1.txt" || \
-  fail "a clustered shard must announce its ring position"
-
-# The same request through shard 2: properties shard 1 owns arrive over
-# PEER_GET, properties shard 2 owns arrived via shard 1's PEER_PUT. One
-# priming round absorbs any still-in-flight PUT, then the verdicts must be
-# warm — no recomputation on the second shard.
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --connect-timeout 10 \
-  --engine pdr > "$TMP/shard_prime.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "priming run via shard 2"
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --engine pdr \
-  > "$TMP/shard_warm.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm run via shard 2"
-grep -q "served from verdictd cache" "$TMP/shard_warm.txt" || \
-  fail "shard 2 must serve the cluster-warm verdicts without recomputing"
-
-# The router in front of the same cluster: one socket, identical verdicts.
-"$VERDICTD" --route --socket "$TMP/router.sock" --cluster "$CLUSTER" \
-  > "$TMP/router.txt" 2>&1 &
-ROUTER_PID=$!
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$TMP/router.sock" \
-  --connect-timeout 10 --engine pdr > "$TMP/routed.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "run through the router"
-grep -q "holds" "$TMP/routed.txt" || fail "routed run must print holds verdicts"
-stop_pid "$ROUTER_PID"
-ROUTER_PID=""
-
-# Kill shard 1 outright (no drain, no snapshot). The cluster degrades, it
-# does not fail: shard 2 keeps serving its warm set, and requests whose ring
-# owner is the dead shard fall back to local compute — never a client error.
-kill -KILL "$SHARD1_PID"
-SHARD1_PID=""
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S2" --engine pdr \
-  > "$TMP/degraded_warm.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "warm run via shard 2 with shard 1 dead"
-grep -q "served from verdictd cache" "$TMP/degraded_warm.txt" || \
-  fail "a dead peer must not disturb shard 2's warm set"
-rc=0
-"$VERDICTC" "$MODELS/rollout.vml" --connect "$S2" --prop quorum_kept --trace \
-  > "$TMP/degraded_cold.txt" 2>&1 || rc=$?
-expect_exit 1 "$rc" "cold violation via shard 2 with shard 1 dead"
-grep -q "counterexample confirmed" "$TMP/degraded_cold.txt" || \
-  fail "degraded-mode verdicts must still carry confirmed counterexamples"
-
-# Restart shard 1 from its segment: SIGKILL means no cache-file snapshot was
-# ever written, so a warm first request proves the mmap'd segment carried the
-# verdicts across the crash.
-SHARD1_PID="$(start_shard "$S1" "$TMP/shard1.seg" shard1_restarted)"
-rc=0
-"$VERDICTC" "$MODELS/autoscaler.vml" --connect "$S1" --connect-timeout 10 \
-  --engine pdr > "$TMP/recovered.txt" 2>&1 || rc=$?
-expect_exit 0 "$rc" "post-crash run via restarted shard 1"
-grep -q "served from verdictd cache" "$TMP/recovered.txt" || \
-  fail "restarted shard must replay its segment and serve warm"
-
-stop_pid "$SHARD2_PID"
-SHARD2_PID=""
-stop_pid "$SHARD1_PID"
-SHARD1_PID=""
 
 echo "verdictd CLI: all checks passed"
 exit 0

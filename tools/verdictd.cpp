@@ -3,13 +3,12 @@
 // Serves verdictc requests over a Unix-domain socket with a content-addressed
 // verdict cache in front of the engines: re-verifying an unchanged
 // (model, property, engine, depth) request is a hash lookup, identical
-// concurrent requests collapse to one solver run, and --cache-file carries
-// proven verdicts across daemon restarts. Protocol and cacheability rules:
-// docs/service.md.
+// concurrent requests collapse to one solver run, and --segment-file carries
+// proven verdicts across daemon restarts and crashes. Protocol, persistence
+// and cacheability rules: docs/service.md.
 //
 // Usage:
 //   verdictd --socket PATH [options]
-//   verdictd --route --socket PATH --cluster SPEC [options]
 //
 // Options:
 //   --socket PATH       Unix-domain socket to listen on (required)
@@ -17,18 +16,10 @@
 //   --queue-limit N     max admitted-but-unfinished requests; further
 //                       requests are rejected immediately (default 64)
 //   --cache-capacity N  in-memory verdict cache entries (default 4096)
-//   --cache-file FILE   NDJSON verdict store: loaded at startup, written on
-//                       graceful shutdown (SIGTERM/SIGINT)
 //   --segment-file FILE mmap'd persistent segment: appended on every fresh
-//                       definitive verdict, replayed at startup — verdicts
-//                       survive a crash between --cache-file snapshots
-//   --cluster SPEC      comma-separated socket paths of EVERY shard in the
-//                       cluster (this daemon's --socket must be one of
-//                       them): enables the consistent-hash ring and the
-//                       PEER_GET/PEER_PUT tier (docs/sharding.md)
-//   --route             run as the cluster router instead of a shard:
-//                       splice each connection on --socket to a live shard
-//                       from --cluster (round-robin, skipping dead shards)
+//                       definitive verdict, replayed at startup, flushed to
+//                       disk on graceful shutdown — verdicts survive both a
+//                       restart and a crash
 //   --batch-window MS   coalescing window in milliseconds: requests arriving
 //                       within it that share a (model, engine, depth,
 //                       deadline-class) fingerprint are verified as ONE
@@ -41,8 +32,7 @@
 //   --version           print version (git SHA, build type, Z3) and exit
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish in-flight
-// verdicts, persist the cache, exit 0. (The router exits immediately — it
-// holds no state worth draining.)
+// verdicts, flush the segment, exit 0.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -55,40 +45,32 @@
 #include "portfolio/pool.h"
 #include "smt/solver.h"
 #include "svc/daemon.h"
-#include "svc/peer.h"
-#include "svc/ring.h"
 #include "util/version.h"
 
 namespace {
 
 verdict::svc::Daemon* g_daemon = nullptr;
-verdict::svc::Router* g_router = nullptr;
 
 void handle_signal(int) {
-  // Both request_stop()s are async-signal-safe (one self-pipe write each).
+  // request_stop() is async-signal-safe (one self-pipe write).
   if (g_daemon != nullptr) g_daemon->request_stop();
-  if (g_router != nullptr) g_router->request_stop();
 }
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [options]\n"
-               "       %s --route --socket PATH --cluster SPEC [options]\n"
                "  --socket PATH       Unix-domain socket to listen on\n"
                "  --jobs N            worker threads (0 = all hardware threads)\n"
                "  --queue-limit N     max in-flight requests before rejecting (64)\n"
                "  --cache-capacity N  in-memory verdict cache entries (4096)\n"
-               "  --cache-file FILE   persistent verdict store (NDJSON)\n"
                "  --segment-file FILE mmap'd crash-safe verdict segment\n"
-               "  --cluster SPEC      comma-separated shard socket paths\n"
-               "  --route             run as the cluster router for --cluster\n"
                "  --batch-window MS   session-batching window, ms (2; 0 = off)\n"
                "  --batch-max N       max requests per batch (16)\n"
                "  --max-message BYTES inbound message size limit (8388608)\n"
                "  --trace-out FILE    stream structured events as NDJSON\n"
                "  --quiet             no startup/shutdown banner\n"
                "  --version           print version and exit\n",
-               argv0, argv0);
+               argv0);
   std::exit(code);
 }
 
@@ -103,8 +85,6 @@ int main(int argc, char** argv) {
   // CI) noticing but wide enough to coalesce a management-plane burst.
   options.service.batch_window_seconds = 0.002;
   std::string trace_out;
-  std::string cluster;
-  bool route = false;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -121,14 +101,8 @@ int main(int argc, char** argv) {
       options.service.queue_limit = static_cast<std::size_t>(std::atol(value().c_str()));
     } else if (arg == "--cache-capacity") {
       options.service.cache.capacity = static_cast<std::size_t>(std::atol(value().c_str()));
-    } else if (arg == "--cache-file") {
-      options.service.cache_file = value();
     } else if (arg == "--segment-file") {
       options.service.segment_file = value();
-    } else if (arg == "--cluster") {
-      cluster = value();
-    } else if (arg == "--route") {
-      route = true;
     } else if (arg == "--batch-window") {
       options.service.batch_window_seconds = std::atof(value().c_str()) / 1000.0;
     } else if (arg == "--batch-max") {
@@ -150,43 +124,6 @@ int main(int argc, char** argv) {
     }
   }
   if (options.socket_path.empty()) usage(argv[0], 2);
-  if (route && cluster.empty()) {
-    std::fprintf(stderr, "verdictd: --route requires --cluster\n");
-    usage(argv[0], 2);
-  }
-  if (!cluster.empty() && !route) {
-    // A shard joins the ring under its own socket path; the ring is only
-    // shared if every shard (and the router, and verdictc --shard-of) was
-    // given the identical spec.
-    options.service.cluster = cluster;
-    options.service.self_id = options.socket_path;
-  }
-
-  // Router mode: no engines, no cache, no Service — one epoll splice loop.
-  if (route) {
-    try {
-      svc::RouterOptions router_options;
-      router_options.socket_path = options.socket_path;
-      router_options.backends = svc::Ring::from_spec(cluster).nodes();
-      svc::Router router(router_options);
-      g_router = &router;
-      std::signal(SIGTERM, handle_signal);
-      std::signal(SIGINT, handle_signal);
-      if (!quiet)
-        std::printf("verdictd: routing %s across %zu shard(s)\n",
-                    options.socket_path.c_str(), router_options.backends.size());
-      std::fflush(stdout);
-      router.serve();
-      if (!quiet)
-        std::printf("verdictd: router stopped (%llu connection(s) routed); bye\n",
-                    static_cast<unsigned long long>(router.connections_routed()));
-      g_router = nullptr;
-      return 0;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "verdictd: %s\n", error.what());
-      return 2;
-    }
-  }
 
   std::unique_ptr<obs::TraceSink> trace_sink;
   if (!trace_out.empty()) {
@@ -202,7 +139,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   try {
     svc::Daemon daemon(options);
-    // Incremental re-verification: index whatever the cache file carried
+    // Incremental re-verification: index whatever the segment carried
     // (artifacts re-earn trust through revalidation — docs/incremental.md)
     // and serve edited-model requests from prior versions' proofs.
     inc::ReuseEngine reuse(daemon.service().cache());
@@ -214,12 +151,6 @@ int main(int argc, char** argv) {
     if (!quiet && reindexed != 0)
       std::printf("verdictd: indexed %zu prior verdict(s) for incremental reuse\n",
                   reindexed);
-    if (!quiet && daemon.service().peers() != nullptr) {
-      const svc::Ring& ring = daemon.service().peers()->ring();
-      std::printf("verdictd: shard %zu of %zu on the cluster ring (%zu virtual node(s))\n",
-                  *ring.index_of(options.socket_path) + 1, ring.size(),
-                  ring.size() * svc::kVirtualNodesPerNode);
-    }
     if (!quiet)
       std::printf("verdictd: listening on %s (%zu jobs, queue limit %zu)\n",
                   options.socket_path.c_str(),
